@@ -210,7 +210,9 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 	// Step 1: checkpoint the live node. Like the paper's fork(), this is
 	// the only operation that touches the live process: one clone is
 	// taken under the state lock ("the checkpoint process"), and all
-	// exploration clones fork from it, never from the live router.
+	// exploration clones fork from it, never from the live router. The
+	// clone shares the Loc-RIB copy-on-write, so the lock is held for
+	// O(peers) work and the live router goes on taking updates.
 	sink := netsim.NewCaptureSink()
 	store := checkpoint.NewStore(d.opts.PageSize)
 	var ckptRouter *router.Router
@@ -226,16 +228,10 @@ func (d *DiCE) exploreRound(sc Scenario, peerName string, seed any) (*Result, er
 	)
 
 	// Step 3: the instrumented handler. Every run forks a fresh clone of
-	// the checkpoint process; its messages go to the capture sink.
+	// the checkpoint process (copy-on-write, O(peers) like fork()); its
+	// messages go to the capture sink.
 	handler := func(rc *concolic.RunContext) any {
-		// COW clone: O(1) like fork(). Memory accounting needs the full
-		// serialized state, so MeasureMemory uses eager clones instead.
-		var clone *router.Router
-		if d.opts.MeasureMemory {
-			clone = ckptRouter.Clone(sink)
-		} else {
-			clone = ckptRouter.CloneCOW(sink)
-		}
+		clone := ckptRouter.Clone(sink)
 		out := sc.Execute(rc, clone, peerName, seed)
 		if d.opts.MeasureMemory {
 			snap := store.TakeChunks("clone", clone.EncodeStateChunks())

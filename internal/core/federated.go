@@ -302,7 +302,7 @@ func prepareSeeded(live *router.Router, tg ResolvedTarget, sc Scenario, seed any
 	sink := netsim.NewCaptureSink()
 	ckpt := live.Clone(sink)
 	handler := func(rc *concolic.RunContext) any {
-		return sc.Execute(rc, ckpt.CloneCOW(sink), tg.Peer, seed)
+		return sc.Execute(rc, ckpt.Clone(sink), tg.Peer, seed)
 	}
 	if reuse {
 		engOpts.State = states.For(tg.Node + "/" + tg.Scenario + "/" + tg.Peer)

@@ -96,11 +96,7 @@ const (
 // override ("hijack") its traffic with a different origin AS. Prefixes in
 // configured anycast space are hijackable by nature and filtered as false
 // positives.
-func DetectHijacks(cfg *config.Config, rep *concolic.Report, table rib.RouteTable) (findings []Finding, filtered int) {
-	// Collect victims once: current best routes (the routes whose traffic
-	// can be stolen).
-	victims := table.Dump()
-
+func DetectHijacks(cfg *config.Config, rep *concolic.Report, table *rib.Table) (findings []Finding, filtered int) {
 	seen := map[string]bool{}
 	for pi := range rep.Paths {
 		p := &rep.Paths[pi]
@@ -115,20 +111,12 @@ func DetectHijacks(cfg *config.Config, rep *concolic.Report, table rib.RouteTabl
 		}
 		region := regionFrom(info)
 
-		for _, v := range victims {
+		// Victims are the current best routes (the routes whose traffic
+		// can be stolen). Only those whose address range meets the
+		// region's interval, at a length the region admits, can be.
+		table.WalkRange(region.AddrLo, region.AddrHi, region.LenHi, func(v *rib.Route) bool {
 			if v.OriginAS() == out.OriginAS {
-				continue // same origin: re-announcement, not a hijack
-			}
-			// Cheap pre-filter: the victim's address range must intersect
-			// the region's address interval, and the region must admit a
-			// length >= the victim's.
-			vLo := uint64(uint32(v.Prefix.Addr()))
-			vHi := uint64(uint32(v.Prefix.Addr() | ^netaddr.Mask(v.Prefix.Bits())))
-			if vHi < uint64(uint32(region.AddrLo)) || vLo > uint64(uint32(region.AddrHi)) {
-				continue
-			}
-			if region.LenHi < v.Prefix.Bits() {
-				continue
+				return true // same origin: re-announcement, not a hijack
 			}
 
 			// Exact check: path condition ∧ (announcement ⊆ victim).
@@ -143,17 +131,17 @@ func DetectHijacks(cfg *config.Config, rep *concolic.Report, table rib.RouteTabl
 			query := append(append([]sym.Expr(nil), cs...), contain...)
 			env, res := solver.New(solver.Options{Hint: p.Env}).Solve(query)
 			if res != solver.Sat {
-				continue
+				return true
 			}
 			witness := netaddr.PrefixFrom(netaddr.Addr(uint32(env[addrVarID])), int(env[lenVarID]))
 
 			if cfg.IsAnycast(v.Prefix) || cfg.IsAnycast(witness) {
 				filtered++
-				continue
+				return true
 			}
 			key := fmt.Sprintf("%s|%d|%d", v.Prefix, v.OriginAS(), out.OriginAS)
 			if seen[key] {
-				continue
+				return true
 			}
 			seen[key] = true
 			findings = append(findings, Finding{
@@ -167,7 +155,8 @@ func DetectHijacks(cfg *config.Config, rep *concolic.Report, table rib.RouteTabl
 				Seq:          p.Seq,
 				Input:        namedInput(env),
 			})
-		}
+			return true
+		})
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		if c := findings[i].VictimPrefix.Compare(findings[j].VictimPrefix); c != 0 {

@@ -428,20 +428,18 @@ func (t *Topology) connectEdges(net *netsim.Network) error {
 }
 
 // Shadow builds an isolated copy of the fabric: every router cloned
-// (sessions established, tables shared copy-on-write through
-// rib.Overlay) onto a fresh virtual network with the same links.
-// Concrete witness messages propagate over the shadow exactly as they
-// would over the live fabric, without perturbing it — the federated
-// analogue of exploring on checkpoint clones. Creation is O(peers) per
-// node instead of O(table): a witness only dirties the prefixes it
-// touches, so at full-table scale a shadow costs what fork()'s COW
-// would. The live fabric must stay quiescent while shadows are alive
-// (it does: nothing runs the live network during witness propagation).
+// (sessions established, tables shared copy-on-write) onto a fresh
+// virtual network with the same links. Concrete witness messages
+// propagate over the shadow exactly as they would over the live fabric,
+// without perturbing it — the federated analogue of exploring on
+// checkpoint clones. Creation is O(peers) per node instead of O(table):
+// a witness only copies the trie paths it touches, so at full-table
+// scale a shadow costs what fork()'s COW would.
 func (f *Fabric) Shadow() (*Fabric, error) {
 	net := netsim.New(f.Net.Now())
 	s := &Fabric{Topo: f.Topo, Net: net, Routers: make(map[string]*router.Router, len(f.Routers))}
 	for _, n := range f.Topo.Nodes {
-		clone := f.Routers[n.Name].CloneCOW(net)
+		clone := f.Routers[n.Name].Clone(net)
 		if err := net.AddNode(n.Name, clone); err != nil {
 			return nil, err
 		}

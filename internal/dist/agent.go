@@ -589,15 +589,16 @@ func (a *Agent) replay(p ReplayParams) (*ReplayResult, error) {
 	return out, nil
 }
 
-// shadowOpen clones the node for witness propagation. The clone is COW
-// (O(peers) creation) and its traffic lands in a private capture sink.
+// shadowOpen clones the node for witness propagation. The clone is
+// copy-on-write (O(peers) creation) and its traffic lands in a private
+// capture sink.
 func (a *Agent) shadowOpen() *ShadowOpenResult {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.nextID++
 	sink := netsim.NewCaptureSink()
 	a.shadows[a.nextID] = &shadowClone{
-		r:        a.self.CloneCOW(sink),
+		r:        a.self.Clone(sink),
 		sink:     sink,
 		routeIDs: make(map[*rib.Route]uint64),
 		applied:  make(map[uint64]any),

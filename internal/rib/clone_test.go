@@ -7,6 +7,10 @@ import (
 	"dice/internal/netaddr"
 )
 
+// The TestOverlay* tests pin the copy-on-write contract of Table.Clone:
+// a clone reads through to the nodes it shares with its base and never
+// writes them; a write copies only the nodes on its path.
+
 func baseWithRoutes(t *testing.T) *Table {
 	t.Helper()
 	tb := New()
@@ -18,7 +22,7 @@ func baseWithRoutes(t *testing.T) *Table {
 
 func TestOverlayReadsFallThrough(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	if o.Best(pfx("10.0.0.0/8")) != base.Best(pfx("10.0.0.0/8")) {
 		t.Fatal("read did not fall through")
 	}
@@ -36,13 +40,13 @@ func TestOverlayReadsFallThrough(t *testing.T) {
 func TestOverlayWriteDoesNotTouchBase(t *testing.T) {
 	base := baseWithRoutes(t)
 	beforeRoutes := base.Routes()
-	o := NewOverlay(base)
+	o := base.Clone()
 
 	o.Insert(mkRoute("10.1.0.0/16", "10.0.0.9", 65009, 65009))
 	if base.Routes() != beforeRoutes {
 		t.Fatal("overlay write leaked into base")
 	}
-	// Overlay sees both candidates.
+	// The clone sees both candidates.
 	if got := len(o.Candidates(pfx("10.1.0.0/16"))); got != 2 {
 		t.Fatalf("overlay candidates = %d, want 2", got)
 	}
@@ -52,14 +56,58 @@ func TestOverlayWriteDoesNotTouchBase(t *testing.T) {
 	if o.Routes() != beforeRoutes+1 {
 		t.Fatalf("overlay route count %d, want %d", o.Routes(), beforeRoutes+1)
 	}
-	if o.OwnedPrefixes() != 1 {
-		t.Fatalf("owned = %d", o.OwnedPrefixes())
+	// The written node is the clone's own copy; a node off the written
+	// path is still the base's.
+	if o.lookup(pfx("10.1.0.0/16")) == base.lookup(pfx("10.1.0.0/16")) {
+		t.Fatal("written node shared with base")
+	}
+	if o.lookup(pfx("192.168.0.0/16")) != base.lookup(pfx("192.168.0.0/16")) {
+		t.Fatal("untouched node not shared with base")
+	}
+}
+
+// TestCloneWriteCopiesOnlyItsPath pins the copy granularity: one write to
+// a clone copies exactly the nodes on the path to the written prefix, at
+// any table size, and shares every other node with the base.
+func TestCloneWriteCopiesOnlyItsPath(t *testing.T) {
+	for _, n := range []int{1000, 20000} {
+		base := fillTable(n)
+		p := netaddr.PrefixFrom(netaddr.Addr(uint32(n/2)<<12), 20)
+		o := base.Clone()
+		o.Insert(mkRoute(p.String(), "10.0.0.9", 65009, 65009))
+
+		shared := map[*node]bool{}
+		var all func(*node, func(*node))
+		all = func(x *node, fn func(*node)) {
+			if x != nil {
+				fn(x)
+				all(x.children[0], fn)
+				all(x.children[1], fn)
+			}
+		}
+		all(base.root, func(x *node) { shared[x] = true })
+		copied := 0
+		all(o.root, func(x *node) {
+			if !shared[x] {
+				copied++
+			}
+		})
+		path := 0
+		for x := o.root; x != nil && x.prefix.Covers(p); x = x.children[p.Bit(x.prefix.Bits())] {
+			path++
+			if x.prefix == p {
+				break
+			}
+		}
+		if path < 2 || copied != path {
+			t.Fatalf("%d prefixes: write copied %d nodes, path to %s has %d", n, copied, p, path)
+		}
 	}
 }
 
 func TestOverlayWithdraw(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	ch := o.Withdraw(pfx("192.168.0.0/16"), ip("10.0.0.2"))
 	if !ch.Changed() {
 		t.Fatal("withdraw did not change best")
@@ -77,7 +125,7 @@ func TestOverlayWithdraw(t *testing.T) {
 
 func TestOverlayNewPrefix(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	o.Insert(mkRoute("172.16.0.0/12", "10.0.0.9", 65009, 65009))
 	if o.Best(pfx("172.16.0.0/12")) == nil {
 		t.Fatal("new prefix missing in overlay")
@@ -92,7 +140,7 @@ func TestOverlayNewPrefix(t *testing.T) {
 
 func TestOverlayWalkMergesSorted(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	o.Insert(mkRoute("11.0.0.0/8", "10.0.0.9", 65009, 65009))
 	o.Withdraw(pfx("192.168.0.0/16"), ip("10.0.0.2"))
 
@@ -117,7 +165,7 @@ func TestOverlayWalkMergesSorted(t *testing.T) {
 
 func TestOverlayWithdrawPeer(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	chs := o.WithdrawPeer(ip("10.0.0.1"))
 	if len(chs) != 2 {
 		t.Fatalf("changes = %d, want 2", len(chs))
@@ -132,7 +180,7 @@ func TestOverlayWithdrawPeer(t *testing.T) {
 
 func TestOverlayCoveringAcrossBaseAndLocal(t *testing.T) {
 	base := baseWithRoutes(t)
-	o := NewOverlay(base)
+	o := base.Clone()
 	// Insert a more specific local route; covering lookups for an even
 	// more specific prefix must find the local one, not the base /16.
 	loc := mkRoute("10.1.2.0/24", "10.0.0.9", 65009, 65009)
@@ -147,8 +195,9 @@ func TestOverlayCoveringAcrossBaseAndLocal(t *testing.T) {
 	}
 }
 
-// Property: an Overlay behaves exactly like a deep copy of the base under
-// an arbitrary sequence of inserts/withdraws (observational equivalence).
+// Property: a clone behaves exactly like a deep copy of the base under an
+// arbitrary sequence of inserts/withdraws (observational equivalence),
+// and the base keeps its routes.
 func TestOverlayEquivalentToDeepCopy(t *testing.T) {
 	f := func(ops []struct {
 		Addr     uint32
@@ -168,7 +217,7 @@ func TestOverlayEquivalentToDeepCopy(t *testing.T) {
 			}
 			return true
 		})
-		o := NewOverlay(base)
+		o := base.Clone()
 
 		if len(ops) > 40 {
 			ops = ops[:40]
@@ -199,34 +248,37 @@ func TestOverlayEquivalentToDeepCopy(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return base.Prefixes() == 2 && base.Routes() == 2 && len(base.Dump()) == 2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func BenchmarkOverlayCreate(b *testing.B) {
-	base := New()
-	for i := 0; i < 100000; i++ {
-		base.Insert(mkRoute(netaddr.PrefixFrom(netaddr.Addr(uint32(i)<<12), 20).String(), "10.0.0.1", 65001, 65001))
+// fillTable returns a table of n /20 prefixes from one peer.
+func fillTable(n int) *Table {
+	tb := New()
+	for i := 0; i < n; i++ {
+		tb.Insert(mkRoute(netaddr.PrefixFrom(netaddr.Addr(uint32(i)<<12), 20).String(), "10.0.0.1", 65001, 65001))
 	}
+	return tb
+}
+
+func BenchmarkTableClone(b *testing.B) {
+	base := fillTable(100000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := NewOverlay(base)
-		_ = o
+		_ = base.Clone()
 	}
 }
 
-func BenchmarkOverlayInsertOne(b *testing.B) {
-	base := New()
-	for i := 0; i < 100000; i++ {
-		base.Insert(mkRoute(netaddr.PrefixFrom(netaddr.Addr(uint32(i)<<12), 20).String(), "10.0.0.1", 65001, 65001))
-	}
+func BenchmarkCloneThenInsert(b *testing.B) {
+	base := fillTable(100000)
 	r := mkRoute("203.0.113.0/24", "10.0.0.9", 65009, 65009)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := NewOverlay(base)
-		o.Insert(r)
+		base.Clone().Insert(r)
 	}
 }

@@ -61,13 +61,15 @@ func better(a, b *Route) bool {
 	return a.PeerRouterID < b.PeerRouterID
 }
 
-// selectBest reruns best-path selection over the candidate set.
-func (e *entry) selectBest() {
+// selectBest runs best-path selection over a candidate set. The result
+// depends on candidate order (MED comparison is not transitive), so
+// callers keep candidates in arrival order.
+func selectBest(candidates []*Route) *Route {
 	var best *Route
-	for _, c := range e.candidates {
+	for _, c := range candidates {
 		if best == nil || better(c, best) {
 			best = c
 		}
 	}
-	e.best = best
+	return best
 }

@@ -48,7 +48,7 @@ type Router struct {
 	cfg       *config.Config
 	name      string
 	transport netsim.Transport
-	loc       rib.RouteTable
+	loc       *rib.Table
 	peers     map[string]*peerState // keyed by peer (node) name
 	peerOrder []string              // keys of peers, sorted; maintained by addPeer
 	counters  Counters
@@ -133,7 +133,7 @@ func (r *Router) Name() string { return r.name }
 func (r *Router) Config() *config.Config { return r.cfg }
 
 // RIB exposes the Loc-RIB (read-only use expected).
-func (r *Router) RIB() rib.RouteTable { return r.loc }
+func (r *Router) RIB() *rib.Table { return r.loc }
 
 // Counters returns a copy of the processing counters.
 func (r *Router) Counters() Counters { return r.counters }
@@ -465,55 +465,19 @@ func (r *Router) EncodeState() []byte {
 	return out
 }
 
-// CloneCOW produces an isolated copy-on-write clone: the RIB is an
-// overlay over this router's table, so creation is O(peers), independent
-// of table size — exactly fork()'s cost model, which the §4.1 overhead
-// measurements depend on. The receiver MUST NOT be mutated while COW
-// clones are alive; DiCE guarantees this by only COW-cloning the frozen
-// checkpoint router.
-func (r *Router) CloneCOW(tr netsim.Transport) *Router {
-	base, ok := r.loc.(*rib.Table)
-	if !ok {
-		// Already an overlay (clone of a clone): fall back to deep copy.
-		return r.Clone(tr)
-	}
-	c := &Router{
-		cfg:           r.cfg,
-		name:          r.name,
-		transport:     tr,
-		loc:           rib.NewOverlay(base),
-		peers:         make(map[string]*peerState, len(r.peers)),
-		counters:      r.counters,
-		lastObserved:  make(map[string]*bgp.Update, len(r.lastObserved)),
-		lastAnnounced: make(map[string]*bgp.Update, len(r.lastAnnounced)),
-	}
-	for _, pc := range r.cfg.Peers {
-		c.addPeer(pc)
-	}
-	for k, v := range r.lastObserved {
-		c.lastObserved[k] = v
-	}
-	for k, v := range r.lastAnnounced {
-		c.lastAnnounced[k] = v
-	}
-	for name, ps := range r.peers {
-		c.peers[name].forceEstablished(ps.sess)
-	}
-	return c
-}
-
-// Clone produces an isolated deep copy of the router over the given
-// transport (normally a netsim.CaptureSink): the fork() analogue with
-// eager copying, used where the clone must be fully independent (taking
-// the checkpoint itself, memory accounting). The clone shares no mutable
-// state with the parent; configuration is shared because it is immutable
-// after parse.
+// Clone produces an isolated copy of the router over the given transport
+// (normally a netsim.CaptureSink): the fork() analogue. It costs O(peers)
+// whatever the table size, because the Loc-RIB is cloned copy-on-write
+// (rib.Table.Clone) and routes, configuration and observed messages are
+// immutable and shared. Neither router sees the other's later changes, so
+// the original keeps processing updates while clones explore, and clones
+// of clones are as cheap as the first.
 func (r *Router) Clone(tr netsim.Transport) *Router {
 	c := &Router{
 		cfg:           r.cfg,
 		name:          r.name,
 		transport:     tr,
-		loc:           rib.New(),
+		loc:           r.loc.Clone(),
 		peers:         make(map[string]*peerState, len(r.peers)),
 		counters:      r.counters,
 		lastObserved:  make(map[string]*bgp.Update, len(r.lastObserved)),
@@ -522,20 +486,6 @@ func (r *Router) Clone(tr netsim.Transport) *Router {
 	for _, pc := range r.cfg.Peers {
 		c.addPeer(pc)
 	}
-	// Deep-copy the RIB.
-	r.loc.WalkAll(func(p netaddr.Prefix, candidates []*rib.Route) bool {
-		for _, rt := range candidates {
-			c.loc.Insert(&rib.Route{
-				Prefix:       rt.Prefix,
-				Attrs:        rt.Attrs.Clone(),
-				PeerRouterID: rt.PeerRouterID,
-				PeerAS:       rt.PeerAS,
-				EBGP:         rt.EBGP,
-				Local:        rt.Local,
-			})
-		}
-		return true
-	})
 	for k, v := range r.lastObserved {
 		c.lastObserved[k] = v // messages are treated as immutable
 	}
